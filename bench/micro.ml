@@ -95,6 +95,41 @@ let test_log_prior =
          let out = Array.make (Tomo.Paths.num_signatures paths) 0.0 in
          Tomo.Paths.signature_log_prior paths ~log_t ~log_f out))
 
+let test_online =
+  Test.make ~name:"Online observe, 1000 obs (ctp_rx_task)"
+    (Staged.stage (fun () ->
+         let _, paths, samples = Lazy.force prepared_ctp in
+         let online = Tomo.Online.create ~sigma:4.0 paths in
+         Tomo.Online.observe_all online
+           (Array.sub samples 0 (Stdlib.min 1000 (Array.length samples)))))
+
+(* The robust variant over the field link (res 4, jitter 2), on the
+   sanitized samples the hardened pipeline would feed it. *)
+let prepared_ctp_field =
+  lazy
+    (let config =
+       { Codetomo.Pipeline.default_config with
+         timer_resolution = 4; timer_jitter = 2.0;
+         faults = Some (Profilekit.Transport.field ()) }
+     in
+     let run = Codetomo.Pipeline.profile ~config Workloads.ctp in
+     let paths = Tomo.Paths.enumerate (Codetomo.Pipeline.model_of run "ctp_rx_task") in
+     let sigma = Codetomo.Pipeline.noise_sigma config in
+     let samples, _ =
+       Tomo.Sanitize.run ~min_cost:(Tomo.Paths.min_cost paths)
+         ~max_cost:(Tomo.Paths.max_cost paths) ~sigma
+         (List.assoc "ctp_rx_task" run.Codetomo.Pipeline.samples)
+     in
+     (paths, sigma, samples))
+
+let test_em_robust =
+  Test.make ~name:"robust EM, 3 iters (ctp_rx_task, field)"
+    (Staged.stage (fun () ->
+         let paths, sigma, samples = Lazy.force prepared_ctp_field in
+         ignore
+           (Tomo.Em.estimate ~max_iters:3 ~sigma ~outlier:Tomo.Em.default_outlier
+              ~record_trajectory:false paths ~samples)))
+
 let test_placement =
   Test.make ~name:"Pettis-Hansen + rewrite (sense)"
     (Staged.stage (fun () ->
@@ -107,13 +142,14 @@ let test_placement =
 let benchmark () =
   ignore (Lazy.force prepared_sense);
   ignore (Lazy.force prepared_ctp);
+  ignore (Lazy.force prepared_ctp_field);
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) () in
   let grouped =
     Test.make_grouped ~name:"codetomo"
       [
         test_simulator; test_cfg; test_paths; test_em; test_paths_merge;
-        test_em_sparse; test_log_prior; test_placement;
+        test_em_sparse; test_em_robust; test_online; test_log_prior; test_placement;
       ]
   in
   let results = Benchmark.all cfg instances grouped in

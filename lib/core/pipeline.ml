@@ -180,29 +180,34 @@ module Ctx = struct
   let paths_cache t = t.paths_cache
 end
 
-let ctx_parts = function
-  | None -> (None, None)
-  | Some c -> (Ctx.pool c, Ctx.paths_cache c)
-
-(* The instrumented binary — hence every per-procedure path model — depends
+(* For EM the path set is materialized here (cached or not): the
+   estimator needs it anyway, and the sanitizer reads its cost envelope.
+   The instrumented binary — hence every per-procedure path model — depends
    only on the workload, not on the timing config, so a path set enumerated
    once serves the whole resolution × jitter grid.  The cache key is the
    procedure name (prefixed for the watermarked image, whose models differ);
    the owner of the cache closure is responsible for scoping it to one
    (workload, enumeration-bounds) pair. *)
-let cached_paths ?paths_cache ~method_ ~key enumerate =
+let materialize_paths ?paths_cache ~method_ ~key ?max_paths ?max_visits model =
+  let enumerate () = Tomo.Paths.enumerate ?max_paths ?max_visits model in
   match (method_, paths_cache) with
   | Tomo.Estimator.Em, Some cache -> Some (cache key enumerate)
+  | Tomo.Estimator.Em, None -> Some (enumerate ())
   | _ -> None
 
-(* Shared per-procedure estimation under the robustness knobs:
-   sanitize → sample floor → estimate → health verdict.  With every knob
-   at its default this is exactly the old code path (no sanitization, a
-   floor of 1 that only intercepts the empty-sample [Invalid_argument],
-   the exact EM).  [paths] must be the materialized set for the EM
-   method — it also provides the sanitizer's cost envelope. *)
-let estimate_proc ?sanitize ?outlier ?(min_samples = 1) ~method_ ~noise_sigma:sigma
-    ?max_paths ?max_visits ~paths ~model ~truth ~proc samples =
+(* Shared per-procedure estimation under the robustness knobs: chronological
+   sample prefix → path set → sanitize → sample floor → estimate → health
+   verdict.  With every knob at its default this is exactly the old code
+   path (no sanitization, a floor of 1 that only intercepts the
+   empty-sample [Invalid_argument], the exact EM). *)
+let estimate_proc ~ctx ~method_ ?max_samples ?max_paths ?max_visits ?sanitize
+    ?outlier ?(min_samples = 1) ~config ~key ~model ~truth ~proc all =
+  let samples = truncate_samples ?max_samples all in
+  let paths =
+    materialize_paths ?paths_cache:(Ctx.paths_cache ctx) ~method_ ~key ?max_paths ?max_visits
+      model
+  in
+  let sigma = noise_sigma config in
   let samples, sanitize_report =
     match sanitize with
     | None -> (samples, None)
@@ -238,38 +243,20 @@ let estimate_proc ?sanitize ?outlier ?(min_samples = 1) ~method_ ~noise_sigma:si
   in
   { proc; estimate; truth; mae; sample_count = n; health; sanitize_report }
 
-(* For EM the path set is materialized here (cached or not): the
-   estimator needs it anyway, and the sanitizer reads its cost
-   envelope. *)
-let materialize_paths ?paths_cache ~method_ ~key ?max_paths ?max_visits model =
-  let enumerate () = Tomo.Paths.enumerate ?max_paths ?max_visits model in
-  match method_ with
-  | Tomo.Estimator.Em -> (
-      match cached_paths ?paths_cache ~method_ ~key enumerate with
-      | Some p -> Some p
-      | None -> Some (enumerate ()))
-  | _ -> None
-
-let estimate_with ?pool ?paths_cache ?(method_ = Tomo.Estimator.Em) ?max_samples
-    ?max_paths ?max_visits ?sanitize ?outlier ?min_samples run =
-  pmap ?pool
+let estimate ?(ctx = Ctx.none) ?(method_ = Tomo.Estimator.Em) ?max_samples ?max_paths
+    ?max_visits ?sanitize ?outlier ?min_samples run =
+  pmap ?pool:(Ctx.pool ctx)
     (fun proc ->
-      let all = List.assoc proc run.samples in
-      let samples = truncate_samples ?max_samples all in
-      let model = model_of run proc in
-      let paths =
-        materialize_paths ?paths_cache ~method_ ~key:proc ?max_paths ?max_visits model
-      in
-      let truth = List.assoc proc run.oracle_thetas in
-      estimate_proc ?sanitize ?outlier ?min_samples ~method_
-        ~noise_sigma:(noise_sigma run.config) ?max_paths ?max_visits ~paths ~model
-        ~truth ~proc samples)
+      estimate_proc ~ctx ~method_ ?max_samples ?max_paths ?max_visits ?sanitize ?outlier
+        ?min_samples ~config:run.config ~key:proc
+        ~model:(model_of run proc) ~truth:(List.assoc proc run.oracle_thetas) ~proc
+        (List.assoc proc run.samples))
     run.workload.Workloads.profiled
 
 (* Ambiguous branches (equal-cost arms) in the coordinates of the
    probe-instrumented binary — the ones end-to-end timing cannot estimate
    without help. *)
-let ambiguous_sites_with ?paths_cache ?max_paths ?max_visits run =
+let ambiguous_sites ?(ctx = Ctx.none) ?max_paths ?max_visits run =
   List.concat_map
     (fun proc ->
       let model = model_of run proc in
@@ -277,7 +264,9 @@ let ambiguous_sites_with ?paths_cache ?max_paths ?max_visits run =
       (* These are the estimator's own models, so a cached path set is
          shared with {!estimate} under the same key. *)
       match
-        match paths_cache with Some cache -> cache proc enumerate | None -> enumerate ()
+        match Ctx.paths_cache ctx with
+        | Some cache -> cache proc enumerate
+        | None -> enumerate ()
       with
       | paths ->
           let id = Tomo.Identify.analyze paths in
@@ -285,12 +274,12 @@ let ambiguous_sites_with ?paths_cache ?max_paths ?max_visits run =
       | exception Tomo.Paths.Too_complex _ -> [])
     run.workload.Workloads.profiled
 
-let estimate_watermarked_with ?pool ?paths_cache ?(method_ = Tomo.Estimator.Em)
-    ?max_samples ?max_paths ?max_visits ?sanitize ?outlier ?min_samples run =
-  let sites = ambiguous_sites_with ?paths_cache ?max_paths ?max_visits run in
+let estimate_watermarked ?(ctx = Ctx.none) ?(method_ = Tomo.Estimator.Em) ?max_samples
+    ?max_paths ?max_visits ?sanitize ?outlier ?min_samples run =
+  let sites = ambiguous_sites ~ctx ?max_paths ?max_visits run in
   if sites = [] then
-    ( estimate_with ?pool ?paths_cache ~method_ ?max_samples ?max_paths ?max_visits
-        ?sanitize ?outlier ?min_samples run,
+    ( estimate ~ctx ~method_ ?max_samples ?max_paths ?max_visits ?sanitize ?outlier
+        ?min_samples run,
       [] )
   else begin
     (* Rebuild the profiling image with delay stubs on the ambiguous taken
@@ -311,21 +300,15 @@ let estimate_watermarked_with ?pool ?paths_cache ?(method_ = Tomo.Estimator.Em)
         ~devices:(Machine.devices machine)
     in
     let estimations =
-      pmap ?pool
+      pmap ?pool:(Ctx.pool ctx)
         (fun proc ->
-          let all = Profilekit.Probes.samples_for sample_set proc in
-          let samples = truncate_samples ?max_samples all in
-          let model = Tomo.Model.of_cfg (Cfg.of_proc_name binary proc) in
           (* The watermarked image's models differ from the plain ones, so
              its cache entries live under a distinct key. *)
-          let paths =
-            materialize_paths ?paths_cache ~method_ ~key:("watermarked:" ^ proc)
-              ?max_paths ?max_visits model
-          in
-          let truth = Profilekit.Oracle.theta_vector oracle ~proc in
-          estimate_proc ?sanitize ?outlier ?min_samples ~method_
-            ~noise_sigma:(noise_sigma run.config) ?max_paths ?max_visits ~paths ~model
-            ~truth ~proc samples)
+          estimate_proc ~ctx ~method_ ?max_samples ?max_paths ?max_visits ?sanitize
+            ?outlier ?min_samples ~config:run.config ~key:("watermarked:" ^ proc)
+            ~model:(Tomo.Model.of_cfg (Cfg.of_proc_name binary proc))
+            ~truth:(Profilekit.Oracle.theta_vector oracle ~proc) ~proc
+            (Profilekit.Probes.samples_for sample_set proc))
         run.workload.Workloads.profiled
     in
     Profilekit.Oracle.detach oracle;
@@ -396,16 +379,14 @@ let worst_placement freq =
 let worst_binary run =
   placed_binary run ~profiles:run.oracle_freqs ~algorithm:worst_placement
 
-let compare_layouts_with ?pool ?paths_cache ?eval_config ?(method_ = Tomo.Estimator.Em)
+let compare_layouts ?(ctx = Ctx.none) ?eval_config ?(method_ = Tomo.Estimator.Em)
     ?sanitize ?outlier ?min_samples run =
   let eval_config =
     match eval_config with
     | Some c -> c
     | None -> { run.config with seed = run.config.seed + 1000 }
   in
-  let estimations =
-    estimate_with ?pool ?paths_cache ~method_ ?sanitize ?outlier ?min_samples run
-  in
+  let estimations = estimate ~ctx ~method_ ?sanitize ?outlier ?min_samples run in
   (* A Rejected procedure contributes no profile: Rewrite leaves an
      unprofiled procedure in its natural layout, which is exactly the
      graceful-degradation contract.  The variant label carries the
@@ -432,7 +413,7 @@ let compare_layouts_with ?pool ?paths_cache ?eval_config ?(method_ = Tomo.Estima
   (* Each variant runs on its own fresh machine/environment pair seeded
      from [eval_config], so the four evaluations are independent and can
      fan out through the pool without changing any number. *)
-  pmap ?pool
+  pmap ?pool:(Ctx.pool ctx)
     (fun (label, binary) -> run_binary ~config:eval_config run.workload binary ~label)
     [
       ("natural", natural);
@@ -440,34 +421,3 @@ let compare_layouts_with ?pool ?paths_cache ?eval_config ?(method_ = Tomo.Estima
       (tomo_label, tomo);
       ("perfect", perfect);
     ]
-
-(* Canonical entry points: one [?ctx] instead of [?pool]/[?paths_cache].
-   The [_with] implementations above stay the single source of truth;
-   these only destructure the context. *)
-
-let estimate ?ctx ?method_ ?max_samples ?max_paths ?max_visits ?sanitize ?outlier
-    ?min_samples run =
-  let pool, paths_cache = ctx_parts ctx in
-  estimate_with ?pool ?paths_cache ?method_ ?max_samples ?max_paths ?max_visits
-    ?sanitize ?outlier ?min_samples run
-
-let ambiguous_sites ?ctx ?max_paths ?max_visits run =
-  let _, paths_cache = ctx_parts ctx in
-  ambiguous_sites_with ?paths_cache ?max_paths ?max_visits run
-
-let estimate_watermarked ?ctx ?method_ ?max_samples ?max_paths ?max_visits ?sanitize
-    ?outlier ?min_samples run =
-  let pool, paths_cache = ctx_parts ctx in
-  estimate_watermarked_with ?pool ?paths_cache ?method_ ?max_samples ?max_paths
-    ?max_visits ?sanitize ?outlier ?min_samples run
-
-let compare_layouts ?ctx ?eval_config ?method_ ?sanitize ?outlier ?min_samples run =
-  let pool, paths_cache = ctx_parts ctx in
-  compare_layouts_with ?pool ?paths_cache ?eval_config ?method_ ?sanitize ?outlier
-    ?min_samples run
-
-module Legacy = struct
-  let estimate = estimate_with
-  let estimate_watermarked = estimate_watermarked_with
-  let compare_layouts = compare_layouts_with
-end

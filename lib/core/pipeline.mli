@@ -97,9 +97,7 @@ type paths_cache = string -> (unit -> Tomo.Paths.t) -> Tomo.Paths.t
 (** The execution context of a pipeline stage — the one value that
     carries everything a stage shares with its surroundings: the domain
     pool its fan-outs run on and the path-set memo it reads enumerated
-    models from.  It replaces the [?pool]/[?paths_cache] pairs that used
-    to thread separately through every entry point; the old signatures
-    survive as deprecated wrappers in {!Legacy}.
+    models from.
 
     A context changes scheduling and sharing only, never results:
     {!Ctx.none} (no pool, no cache) computes the same values serially
@@ -244,54 +242,3 @@ val compare_layouts :
     placement — and the tomography variant's label becomes
     ["tomography[N fallback]"] so a partial layout is never mistaken for
     a full one. *)
-
-(** {1 Deprecated}
-
-    The pre-{!Ctx} entry points, kept as thin wrappers so downstream
-    callers keep compiling while they migrate.  Each builds a context
-    from its [?pool]/[?paths_cache] arguments and defers to the
-    canonical function; results are identical.  No in-repo caller uses
-    these. *)
-module Legacy : sig
-  val estimate :
-    ?pool:Par.Pool.t ->
-    ?paths_cache:paths_cache ->
-    ?method_:Tomo.Estimator.method_ ->
-    ?max_samples:int ->
-    ?max_paths:int ->
-    ?max_visits:int ->
-    ?sanitize:Tomo.Sanitize.config ->
-    ?outlier:Tomo.Em.outlier ->
-    ?min_samples:int ->
-    profile_run ->
-    estimation list
-  [@@ocaml.deprecated "use Pipeline.estimate ?ctx (Pipeline.Ctx bundles pool and paths cache)"]
-
-  val estimate_watermarked :
-    ?pool:Par.Pool.t ->
-    ?paths_cache:paths_cache ->
-    ?method_:Tomo.Estimator.method_ ->
-    ?max_samples:int ->
-    ?max_paths:int ->
-    ?max_visits:int ->
-    ?sanitize:Tomo.Sanitize.config ->
-    ?outlier:Tomo.Em.outlier ->
-    ?min_samples:int ->
-    profile_run ->
-    estimation list * (string * int) list
-  [@@ocaml.deprecated
-    "use Pipeline.estimate_watermarked ?ctx (Pipeline.Ctx bundles pool and paths cache)"]
-
-  val compare_layouts :
-    ?pool:Par.Pool.t ->
-    ?paths_cache:paths_cache ->
-    ?eval_config:config ->
-    ?method_:Tomo.Estimator.method_ ->
-    ?sanitize:Tomo.Sanitize.config ->
-    ?outlier:Tomo.Em.outlier ->
-    ?min_samples:int ->
-    profile_run ->
-    variant list
-  [@@ocaml.deprecated
-    "use Pipeline.compare_layouts ?ctx (Pipeline.Ctx bundles pool and paths cache)"]
-end

@@ -395,6 +395,77 @@ let diff_results (a : Tomo.Em.result) (b : Tomo.Em.result) =
       (List.combine a.trajectory b.trajectory);
   List.rev !out
 
+(* The streaming estimator's per-observation update, dense: every raw
+   path's log prior and Gaussian log-pdf, the normaliser folded in
+   enumeration order, decay, then every responsibility above 1e-12
+   accumulated path by path (guarding on c > 0).  {!Tomo.Online} runs the
+   shared signature kernel instead and must agree with this in hex. *)
+let dense_online ~decay ~sigma paths samples =
+  let pth = Tomo.Paths.paths paths in
+  let k = Tomo.Model.num_params (Tomo.Paths.model paths) in
+  let taken = Array.make k 0.0 and either = Array.make k 0.0 in
+  let theta () =
+    Array.init k (fun j ->
+        if either.(j) <= 1e-12 then 0.5
+        else Stdlib.max 1e-4 (Stdlib.min (1.0 -. 1e-4) (taken.(j) /. either.(j))))
+  in
+  let weight = ref 0.0 in
+  Array.iter
+    (fun value ->
+      let logw =
+        Array.mapi
+          (fun p lp ->
+            lp +. Stats.Dist.gaussian_log_pdf ~mu:pth.(p).Tomo.Paths.cost ~sigma value)
+          (Tomo.Paths.log_prior paths ~theta:(theta ()))
+      in
+      let best = Array.fold_left (fun b w -> if w > b then w else b) neg_infinity logw in
+      let lse = best +. log (Array.fold_left (fun z w -> z +. exp (w -. best)) 0.0 logw) in
+      for j = 0 to k - 1 do
+        taken.(j) <- taken.(j) *. decay;
+        either.(j) <- either.(j) *. decay
+      done;
+      weight := (!weight *. decay) +. 1.0;
+      Array.iteri
+        (fun p w ->
+          let r = exp (w -. lse) in
+          if r > 1e-12 then begin
+            Array.iteri
+              (fun j c ->
+                if c > 0 then begin
+                  let fc = r *. float_of_int c in
+                  taken.(j) <- taken.(j) +. fc;
+                  either.(j) <- either.(j) +. fc
+                end)
+              pth.(p).Tomo.Paths.taken;
+            Array.iteri
+              (fun j c ->
+                if c > 0 then either.(j) <- either.(j) +. (r *. float_of_int c))
+              pth.(p).Tomo.Paths.nottaken
+          end)
+        logw)
+    samples;
+  (theta (), !weight)
+
+(* Kernel-backed {!Tomo.Online} against {!dense_online} on the same stream,
+   at the default forgetting factor and without forgetting. *)
+let diff_online ~sigma paths samples =
+  List.concat_map
+    (fun decay ->
+      let online = Tomo.Online.create ~decay ~sigma paths in
+      Tomo.Online.observe_all online samples;
+      let theta, weight = dense_online ~decay ~sigma paths samples in
+      let got = Tomo.Online.theta online in
+      let differ what a b =
+        if hex a = hex b then None
+        else
+          Some (Printf.sprintf "online decay %g %s: kernel=%s dense=%s" decay what (hex a) (hex b))
+      in
+      List.filter_map Fun.id
+        (differ "weight" (Tomo.Online.effective_weight online) weight
+        :: List.mapi (fun j t -> differ (Printf.sprintf "theta.(%d)" j) got.(j) t)
+             (Array.to_list theta)))
+    [ 0.999; 1.0 ]
+
 let em_agreement p ~env_seed (c : Compile.t) =
   let instrumented = Asm.assemble (Probes.instrument c.Compile.items) in
   match run_instrumented ~env_seed ~invocations:p.em_invocations instrumented with
@@ -422,9 +493,16 @@ let em_agreement p ~env_seed (c : Compile.t) =
                 Tomo.Em.Dense.estimate ~max_iters:p.em_max_iters
                   ~record_trajectory:true paths ~samples
               in
-              match diff_results sparse dense with
-              | [] -> Pass
-              | diffs ->
+              match
+                ( diff_results sparse dense,
+                  diff_online ~sigma:sparse.Tomo.Em.sigma paths samples )
+              with
+              | [], [] -> Pass
+              | [], diffs ->
+                  Fail
+                    ("online estimator diverged from the dense reference:\n  "
+                    ^ String.concat "\n  " diffs)
+              | diffs, _ ->
                   Fail
                     ("sparse EM diverged from the dense reference:\n  "
                     ^ String.concat "\n  " diffs)))

@@ -11,7 +11,10 @@
       sample counts;
     + {!em_agreement}: sparse {!Tomo.Em.estimate} vs. the dense reference
       {!Tomo.Em.Dense.estimate} — hex-float equality on every field of the
-      result, trajectory included;
+      result, trajectory included — and {!Tomo.Online} vs. a dense
+      per-path online update on the same samples (decay 0.999 and 1.0,
+      σ from the EM fit), hex-float equality on θ and the evidence
+      weight;
     + {!convergence}: estimated branch probabilities approach
       {!Markov.Walk} ground-truth frequencies as the sample count grows;
     + {!faults}: under a random bounded fault mix on the probe link, the

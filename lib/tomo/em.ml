@@ -38,123 +38,84 @@ let group_samples samples =
 
 let clamp_theta p = Stdlib.max 1e-4 (Stdlib.min (1.0 -. 1e-4) p)
 
+let clamp_eps oc e = Stdlib.max 1e-6 (Stdlib.min oc.max_eps e)
+
 (* exp x underflows to exactly +0.0 below ≈ −745.14, so dropping a path
    whose log weight trails the per-value max by more than this changes no
    bit of any sum the reference dense E-step would have computed. *)
 let exact_log_threshold = 746.0
 
-let half_log_two_pi = 0.5 *. log (2.0 *. Float.pi)
-
-(* Residual matrices above this many entries are recomputed on the fly
-   instead of cached (the subtraction is cheap; the cache only saves it). *)
-let max_resid_entries = 1 lsl 22
-
-(* Contamination-robust variant: the mixture gains one uniform component
-   of weight ε whose support covers both the path-cost envelope and the
-   observed sample range, so a sample no path could explain lands on the
-   outlier component instead of producing a degenerate E-step.  σ is
-   re-estimated over the inlier responsibility mass only, and ε (when
-   re-estimated) is the outlier mass fraction, clamped.  This path makes
-   no bit-exactness promise — it runs only when the caller opts in. *)
-let estimate_robust ~max_iters ~tol ~init ~sigma:sigma0 ~estimate_sigma ~sigma_floor
-    ~record_trajectory oc paths ~samples =
+(* One loop for the exact and the contamination-robust variants.  The
+   robust mixture gains one uniform component of weight ε whose support
+   covers both the path-cost envelope and the observed sample range, so a
+   sample no path could explain lands on the outlier component instead of
+   producing a degenerate E-step; σ is re-estimated over the inlier
+   responsibility mass only, and ε (when re-estimated) is the outlier mass
+   fraction, clamped.  Without it, ε = 0 makes log_in = 0 and
+   log_out = −∞, which change no bit of the exact kernel's sums. *)
+let estimate ?(max_iters = 100) ?(tol = 1e-5) ?init ?(sigma = 2.0) ?(estimate_sigma = true)
+    ?(sigma_floor = 0.1) ?(log_threshold = exact_log_threshold)
+    ?(record_trajectory = true) ?outlier paths ~samples =
+  if Array.length samples = 0 then invalid_arg "Em.estimate: no samples";
   let model = Paths.model paths in
   let k = Model.num_params model in
-  let sigs = Paths.signatures paths in
-  let ns = Array.length sigs in
-  let sig_of = Paths.signature_of_path paths in
-  let mult = Array.make ns 0.0 in
-  Array.iter (fun s -> mult.(s) <- mult.(s) +. 1.0) sig_of;
   let grouped = group_samples samples in
   let n_total = Array.fold_left (fun acc (_, c) -> acc +. c) 0.0 grouped in
-  let sigma0 = Stdlib.max sigma_floor sigma0 in
+  let sigma0 = Stdlib.max sigma_floor sigma in
+  let tiny = 1e-12 in
+  let robust = Option.is_some outlier in
   (* Uniform support: the widest of the cost envelope and the sample
      range, padded so no observation sits on a density cliff. *)
-  let smin, _ = grouped.(0) and smax, _ = grouped.(Array.length grouped - 1) in
-  let pad = Stdlib.max (6.0 *. sigma0) 1.0 in
-  let lo = Stdlib.min (Paths.min_cost paths) smin -. pad in
-  let hi = Stdlib.max (Paths.max_cost paths) smax +. pad in
-  let hi = if hi > lo then hi else lo +. 1.0 in
-  let log_u = -.log (hi -. lo) in
-  let clamp_eps e = Stdlib.max 1e-6 (Stdlib.min oc.max_eps e) in
+  let log_u =
+    match outlier with
+    | None -> 0.0
+    | Some _ ->
+        let smin, _ = grouped.(0) and smax, _ = grouped.(Array.length grouped - 1) in
+        let pad = Stdlib.max (6.0 *. sigma0) 1.0 in
+        let lo = Stdlib.min (Paths.min_cost paths) smin -. pad in
+        let hi = Stdlib.max (Paths.max_cost paths) smax +. pad in
+        let hi = if hi > lo then hi else lo +. 1.0 in
+        -.log (hi -. lo)
+  in
+  (* The exact variant replays the dense per-path fold; the robust one
+     visits each signature once, weighted by its multiplicity. *)
+  let kernel =
+    Estep.create ~log_threshold ~floor:0.0 paths (if robust then Estep.Merged else Estep.Raw)
+  in
   let theta = ref (match init with Some t -> Array.copy t | None -> Model.uniform_theta model) in
   let sigma = ref sigma0 in
-  let eps = ref (clamp_eps oc.eps) in
+  let eps = ref (match outlier with Some oc -> clamp_eps oc oc.eps | None -> 0.0) in
   let trajectory = ref [] in
   let iterations = ref 0 in
   let converged = ref false in
   let final_ll = ref neg_infinity in
-  let lp = Array.make ns 0.0 in
-  let lw = Array.make ns 0.0 in
-  let tiny = 1e-12 in
   while (not !converged) && !iterations < max_iters do
     incr iterations;
-    Model.check_theta model !theta;
-    let log_t = Array.map (fun p -> log (Stdlib.max tiny p)) !theta in
-    let log_f = Array.map (fun p -> log (Stdlib.max tiny (1.0 -. p))) !theta in
-    Paths.signature_log_prior paths ~log_t ~log_f lp;
-    let sg = !sigma in
-    let log_sigma = log sg in
-    let log_in = log (Stdlib.max tiny (1.0 -. !eps)) in
+    Estep.set_prior kernel ~theta:!theta ~log_in:(log (Stdlib.max tiny (1.0 -. !eps)));
     let log_out = log !eps +. log_u in
-    let taken_acc = Array.make k 0.0 in
-    let either_acc = Array.make k 0.0 in
-    let sq_acc = ref 0.0 in
-    let inlier_mass = ref 0.0 in
+    let a = Estep.acc k in
     let outlier_mass = ref 0.0 in
     let ll = ref 0.0 in
     Array.iter
       (fun (value, count) ->
-        let best = ref log_out in
-        for s = 0 to ns - 1 do
-          let d = value -. sigs.(s).Paths.s_cost in
-          let z = d /. sg in
-          let w = log_in +. lp.(s) +. ((-0.5 *. z *. z) -. log_sigma -. half_log_two_pi) in
-          lw.(s) <- w;
-          if w > !best then best := w
-        done;
-        let best = !best in
-        let z = ref (exp (log_out -. best)) in
-        for s = 0 to ns - 1 do
-          z := !z +. (mult.(s) *. exp (lw.(s) -. best))
-        done;
-        let lse = best +. log !z in
+        let lse = Estep.accumulate kernel a ~log_out ~sigma:!sigma value count in
         ll := !ll +. (count *. lse);
-        outlier_mass := !outlier_mass +. (count *. exp (log_out -. lse));
-        for s = 0 to ns - 1 do
-          (* One path's responsibility times the signature multiplicity:
-             merged paths share identical branch counts by construction. *)
-          let r = mult.(s) *. count *. exp (lw.(s) -. lse) in
-          if r > 0.0 then begin
-            let entry = sigs.(s) in
-            let idx = entry.Paths.s_taken_idx and cnt = entry.Paths.s_taken_cnt in
-            for i = 0 to Array.length idx - 1 do
-              let j = idx.(i) in
-              let rf = r *. cnt.(i) in
-              taken_acc.(j) <- taken_acc.(j) +. rf;
-              either_acc.(j) <- either_acc.(j) +. rf
-            done;
-            let idx = entry.Paths.s_nottaken_idx and cnt = entry.Paths.s_nottaken_cnt in
-            for i = 0 to Array.length idx - 1 do
-              either_acc.(idx.(i)) <- either_acc.(idx.(i)) +. (r *. cnt.(i))
-            done;
-            let d = value -. entry.Paths.s_cost in
-            sq_acc := !sq_acc +. (r *. d *. d);
-            inlier_mass := !inlier_mass +. r
-          end
-        done)
+        outlier_mass := !outlier_mass +. (count *. exp (log_out -. lse)))
       grouped;
     let new_theta =
       Array.init k (fun j ->
-          if either_acc.(j) <= 0.0 then !theta.(j) else clamp_theta (taken_acc.(j) /. either_acc.(j)))
+          if a.either.(j) <= 0.0 then !theta.(j) else clamp_theta (a.taken.(j) /. a.either.(j)))
     in
     let new_sigma =
       if estimate_sigma then
-        Stdlib.max sigma_floor (sqrt (!sq_acc /. Stdlib.max tiny !inlier_mass))
+        let mass = if robust then Stdlib.max tiny a.mass else n_total in
+        Stdlib.max sigma_floor (sqrt (a.sq /. mass))
       else !sigma
     in
     let new_eps =
-      if oc.estimate_eps then clamp_eps (!outlier_mass /. n_total) else !eps
+      match outlier with
+      | Some oc when oc.estimate_eps -> clamp_eps oc (!outlier_mass /. n_total)
+      | _ -> !eps
     in
     let delta =
       Array.mapi (fun j v -> abs_float (v -. !theta.(j))) new_theta
@@ -174,159 +135,7 @@ let estimate_robust ~max_iters ~tol ~init ~sigma:sigma0 ~estimate_sigma ~sigma_f
     log_likelihood = !final_ll;
     converged = !converged;
     trajectory = List.rev !trajectory;
-    outlier_eps = Some !eps;
-  }
-
-let estimate ?(max_iters = 100) ?(tol = 1e-5) ?init ?(sigma = 2.0) ?(estimate_sigma = true)
-    ?(sigma_floor = 0.1) ?(log_threshold = exact_log_threshold)
-    ?(record_trajectory = true) ?outlier paths ~samples =
-  if Array.length samples = 0 then invalid_arg "Em.estimate: no samples";
-  match outlier with
-  | Some oc ->
-      estimate_robust ~max_iters ~tol ~init ~sigma ~estimate_sigma ~sigma_floor
-        ~record_trajectory oc paths ~samples
-  | None ->
-  let model = Paths.model paths in
-  let k = Model.num_params model in
-  let sigs = Paths.signatures paths in
-  let ns = Array.length sigs in
-  let sig_of = Paths.signature_of_path paths in
-  let np = Array.length sig_of in
-  let grouped = group_samples samples in
-  let nv = Array.length grouped in
-  let n_total = Array.fold_left (fun acc (_, c) -> acc +. c) 0.0 grouped in
-  let theta = ref (match init with Some t -> Array.copy t | None -> Model.uniform_theta model) in
-  let sigma = ref (Stdlib.max sigma_floor sigma) in
-  let trajectory = ref [] in
-  let iterations = ref 0 in
-  let converged = ref false in
-  let final_ll = ref neg_infinity in
-  (* Iteration-invariant: per-(value, signature) residuals value − cost.
-     (Only the residual is cached, not its square: σ is re-estimated every
-     iteration and the reference rounds (d/σ)·(d/σ), not d²/σ².) *)
-  let resid =
-    if nv * ns <= max_resid_entries then begin
-      let m = Array.make (nv * ns) 0.0 in
-      Array.iteri
-        (fun v (value, _) ->
-          let row = v * ns in
-          for s = 0 to ns - 1 do
-            m.(row + s) <- value -. sigs.(s).Paths.s_cost
-          done)
-        grouped;
-      Some m
-    end
-    else None
-  in
-  (* Per-signature scratch, reused across values and iterations. *)
-  let lp = Array.make ns 0.0 in
-  let lw = Array.make ns 0.0 in
-  let expw = Array.make ns 0.0 in
-  let resp = Array.make ns 0.0 in
-  let sq = Array.make ns 0.0 in
-  let eps = 1e-12 in
-  while (not !converged) && !iterations < max_iters do
-    incr iterations;
-    Model.check_theta model !theta;
-    let log_t = Array.map (fun p -> log (Stdlib.max eps p)) !theta in
-    let log_f = Array.map (fun p -> log (Stdlib.max eps (1.0 -. p))) !theta in
-    Paths.signature_log_prior paths ~log_t ~log_f lp;
-    let sg = !sigma in
-    let log_sigma = log sg in
-    (* Accumulators for the M-step. *)
-    let taken_acc = Array.make k 0.0 in
-    let either_acc = Array.make k 0.0 in
-    let sq_acc = ref 0.0 in
-    let ll = ref 0.0 in
-    Array.iteri
-      (fun v (value, count) ->
-        (* E-step for one distinct observation value: the expensive terms
-           (log prior, Gaussian log-pdf, both exps) once per signature... *)
-        let row = v * ns in
-        let best = ref neg_infinity in
-        for s = 0 to ns - 1 do
-          let d =
-            match resid with
-            | Some m -> m.(row + s)
-            | None -> value -. sigs.(s).Paths.s_cost
-          in
-          let z = d /. sg in
-          let w = lp.(s) +. ((-0.5 *. z *. z) -. log_sigma -. half_log_two_pi) in
-          lw.(s) <- w;
-          if w > !best then best := w
-        done;
-        let best = !best in
-        for s = 0 to ns - 1 do
-          expw.(s) <- (if best -. lw.(s) >= log_threshold then 0.0 else exp (lw.(s) -. best))
-        done;
-        (* ...then the normalizer replayed per raw path, so the partial
-           sums round exactly as the dense per-path fold did. *)
-        let z = ref 0.0 in
-        for p = 0 to np - 1 do
-          z := !z +. expw.(sig_of.(p))
-        done;
-        let lse = best +. log !z in
-        ll := !ll +. (count *. lse);
-        for s = 0 to ns - 1 do
-          let r = if expw.(s) = 0.0 then 0.0 else count *. exp (lw.(s) -. lse) in
-          resp.(s) <- r;
-          if r > 0.0 then begin
-            let d =
-              match resid with
-              | Some m -> m.(row + s)
-              | None -> value -. sigs.(s).Paths.s_cost
-            in
-            sq.(s) <- r *. d *. d
-          end
-        done;
-        (* M-step accumulation, also replayed in raw enumeration order with
-           the per-signature responsibility, iterating only nonzero branch
-           counts (the dense loop guarded on c > 0, so the terms match). *)
-        for p = 0 to np - 1 do
-          let s = sig_of.(p) in
-          let r = resp.(s) in
-          if r > 0.0 then begin
-            let entry = sigs.(s) in
-            let idx = entry.Paths.s_taken_idx and cnt = entry.Paths.s_taken_cnt in
-            for i = 0 to Array.length idx - 1 do
-              let j = idx.(i) in
-              let rf = r *. cnt.(i) in
-              taken_acc.(j) <- taken_acc.(j) +. rf;
-              either_acc.(j) <- either_acc.(j) +. rf
-            done;
-            let idx = entry.Paths.s_nottaken_idx and cnt = entry.Paths.s_nottaken_cnt in
-            for i = 0 to Array.length idx - 1 do
-              either_acc.(idx.(i)) <- either_acc.(idx.(i)) +. (r *. cnt.(i))
-            done;
-            sq_acc := !sq_acc +. sq.(s)
-          end
-        done)
-      grouped;
-    let new_theta =
-      Array.init k (fun j ->
-          if either_acc.(j) <= 0.0 then !theta.(j) else clamp_theta (taken_acc.(j) /. either_acc.(j)))
-    in
-    let new_sigma =
-      if estimate_sigma then Stdlib.max sigma_floor (sqrt (!sq_acc /. n_total)) else !sigma
-    in
-    let delta =
-      Array.mapi (fun j v -> abs_float (v -. !theta.(j))) new_theta
-      |> Array.fold_left Stdlib.max 0.0
-    in
-    theta := new_theta;
-    sigma := new_sigma;
-    final_ll := !ll;
-    if record_trajectory then trajectory := (Array.copy new_theta, !ll) :: !trajectory;
-    if delta < tol then converged := true
-  done;
-  {
-    theta = !theta;
-    sigma = !sigma;
-    iterations = !iterations;
-    log_likelihood = !final_ll;
-    converged = !converged;
-    trajectory = List.rev !trajectory;
-    outlier_eps = None;
+    outlier_eps = Option.map (fun _ -> !eps) outlier;
   }
 
 (* The dense per-path reference the sparse kernels were derived from.  Kept

@@ -10,13 +10,15 @@
     timings repeat heavily, making iterations O(distinct values × paths)
     instead of O(samples × paths).
 
-    The kernels run over the {e canonical} path set ({!Paths.signatures}):
-    log priors, Gaussian terms and responsibilities are evaluated once per
-    merged signature (with residuals precomputed across iterations and the
-    per-iteration constants of the Gaussian log-pdf hoisted), while the
-    cheap accumulator additions are replayed in raw enumeration order via
-    {!Paths.signature_of_path}.  The result is bit-for-bit identical to
-    the dense per-path reference at the default [log_threshold]. *)
+    One iteration loop serves the exact and the robust variant, and its
+    E-step is the shared {!Estep} kernel: log priors, Gaussian terms and
+    responsibilities are evaluated once per merged signature
+    ({!Paths.signatures}), and the cheap normaliser and accumulator
+    additions are folded in a fixed order.  The exact variant folds in raw
+    enumeration order ({!Estep.Raw}, via {!Paths.signature_of_path}), so
+    its result is bit-for-bit identical to the dense per-path reference
+    {!Dense} at the default [log_threshold].  The robust variant folds each
+    signature once, weighted by its multiplicity ({!Estep.Merged}). *)
 
 type result = {
   theta : float array;
@@ -74,11 +76,12 @@ val estimate :
     to skip one θ copy per iteration.
 
     [outlier] switches on the contamination-robust variant.  Off (the
-    default), the exact sparse kernel runs and results stay bit-for-bit
-    identical to {!Dense} — robustness is strictly opt-in; on, σ is
-    re-estimated over inlier responsibility mass only and the result
-    carries the final ε in [outlier_eps].  The robust path makes no
-    bit-exactness promise against {!Dense}.
+    default), ε is 0 and results stay bit-for-bit identical to {!Dense} —
+    robustness is strictly opt-in; on, the same loop adds the uniform
+    component, re-estimates σ over inlier responsibility mass only and
+    returns the final ε in [outlier_eps].  The robust variant honours
+    [log_threshold] too (exact at the default) but, folding merged
+    signatures, makes no bit-exactness promise against {!Dense}.
     @raise Invalid_argument on empty samples. *)
 
 val exact_log_threshold : float

@@ -1,83 +1,44 @@
 type t = {
-  paths : Paths.t;
   decay : float;
   sigma : float;
-  taken_acc : float array;
-  either_acc : float array;
+  acc : Estep.acc;
+  kernel : Estep.t;
   mutable weight : float;
   mutable count : int;
-  (* Scratch reused across observations. *)
-  logw : float array;
 }
 
 let create ?(decay = 0.999) ?(sigma = 1.0) paths =
   if decay <= 0.0 || decay > 1.0 then invalid_arg "Online.create: decay outside (0,1]";
   if sigma <= 0.0 then invalid_arg "Online.create: sigma must be positive";
-  let k = Model.num_params (Paths.model paths) in
   {
-    paths;
     decay;
     sigma;
-    taken_acc = Array.make k 0.0;
-    either_acc = Array.make k 0.0;
+    acc = Estep.acc (Model.num_params (Paths.model paths));
+    (* The raw fold replays the per-path posterior of one observation bit
+       for bit; responsibilities at or below 1e-12 are not accumulated. *)
+    kernel = Estep.create ~log_threshold:Em.exact_log_threshold ~floor:1e-12 paths Estep.Raw;
     weight = 0.0;
     count = 0;
-    logw = Array.make (Array.length (Paths.paths paths)) 0.0;
   }
 
 let theta t =
-  Array.init
-    (Array.length t.taken_acc)
-    (fun j ->
-      if t.either_acc.(j) <= 1e-12 then 0.5
-      else
-        Stdlib.max 1e-4
-          (Stdlib.min (1.0 -. 1e-4) (t.taken_acc.(j) /. t.either_acc.(j))))
+  let { Estep.taken; either; _ } = t.acc in
+  Array.init (Array.length taken) (fun j ->
+      if either.(j) <= 1e-12 then 0.5
+      else Stdlib.max 1e-4 (Stdlib.min (1.0 -. 1e-4) (taken.(j) /. either.(j))))
 
 let observe t value =
-  let pth = Paths.paths t.paths in
-  let np = Array.length pth in
-  let current = theta t in
-  let log_prior = Paths.log_prior t.paths ~theta:current in
-  (* Posterior over paths for this observation. *)
-  let best = ref neg_infinity in
-  for p = 0 to np - 1 do
-    let lw =
-      log_prior.(p) +. Stats.Dist.gaussian_log_pdf ~mu:pth.(p).Paths.cost ~sigma:t.sigma value
-    in
-    t.logw.(p) <- lw;
-    if lw > !best then best := lw
-  done;
-  let z = ref 0.0 in
-  for p = 0 to np - 1 do
-    z := !z +. exp (t.logw.(p) -. !best)
-  done;
-  let lse = !best +. log !z in
-  (* Decay then accumulate. *)
-  let k = Array.length t.taken_acc in
-  for j = 0 to k - 1 do
-    t.taken_acc.(j) <- t.taken_acc.(j) *. t.decay;
-    t.either_acc.(j) <- t.either_acc.(j) *. t.decay
+  (* Posterior under the current θ, then decay, then accumulate. *)
+  Estep.set_prior t.kernel ~theta:(theta t) ~log_in:0.0;
+  let { Estep.taken; either; _ } = t.acc in
+  for j = 0 to Array.length taken - 1 do
+    taken.(j) <- taken.(j) *. t.decay;
+    either.(j) <- either.(j) *. t.decay
   done;
   t.weight <- (t.weight *. t.decay) +. 1.0;
-  for p = 0 to np - 1 do
-    let r = exp (t.logw.(p) -. lse) in
-    if r > 1e-12 then begin
-      let path = pth.(p) in
-      Array.iteri
-        (fun j c ->
-          if c > 0 then begin
-            let fc = r *. float_of_int c in
-            t.taken_acc.(j) <- t.taken_acc.(j) +. fc;
-            t.either_acc.(j) <- t.either_acc.(j) +. fc
-          end)
-        path.Paths.taken;
-      Array.iteri
-        (fun j c ->
-          if c > 0 then t.either_acc.(j) <- t.either_acc.(j) +. (r *. float_of_int c))
-        path.Paths.nottaken
-    end
-  done;
+  (* The log-likelihood, and the squared residual and mass the batch EM
+     fits σ with, go unused here. *)
+  ignore (Estep.accumulate t.kernel t.acc ~log_out:neg_infinity ~sigma:t.sigma value 1.0);
   t.count <- t.count + 1
 
 let observe_all t samples = Array.iter (observe t) samples

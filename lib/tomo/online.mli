@@ -6,9 +6,16 @@
     taken / total traversals) and updates them with a stochastic-EM step
     per observation: compute the path posterior under the current θ, add
     the responsibilities, decay everything by a forgetting factor.  Memory
-    is O(paths + parameters) regardless of stream length, and the decay
-    makes the estimate track nonstationary inputs — a recursive sibling of
-    {!Windowed}. *)
+    is O(signatures + parameters) regardless of stream length, and the
+    decay makes the estimate track nonstationary inputs — a recursive
+    sibling of {!Windowed}.
+
+    Each observation is one call of the E-step kernel {!Estep} that
+    {!Em.estimate} runs, with count 1 and the raw-path fold
+    ({!Estep.Raw}): the posterior terms are evaluated once per merged
+    signature, and responsibilities above 1e-12 are accumulated in raw
+    enumeration order, so the result equals a dense per-path update bit
+    for bit (the fuzzer checks it against one). *)
 
 type t
 

@@ -107,6 +107,110 @@ let golden_tests =
       Alcotest.test_case ("golden: " ^ g.name) `Slow (golden_case g config w proc))
     goldens cases
 
+(* --- robust-EM goldens: the outlier mixture over the field link --- *)
+
+(* Captured from the robust EM as it stood before it shared the exact
+   kernel's loop: res 4 / jitter 2 over [Transport.field ()], samples
+   sanitized against the path-cost envelope, [Em.default_outlier]. *)
+let field_config =
+  { P.default_config with
+    P.timer_resolution = 4; timer_jitter = 2.0;
+    faults = Some (Profilekit.Transport.field ()) }
+
+let robust_goldens =
+  [
+    ( Workloads.ctp, "ctp_rx_task", 2604,
+      { name = "ctp/ctp_rx_task robust field"; np = 4096;
+        theta = [| 0x1.7e5b3fba43976p-1; 0x1.98dbc5cd14c57p-3; 0x1.fff2e48e8a71ep-1;
+                   0x1.fea957857c61cp-1; 0x1.fa545fc435abfp-3; 0x1.56cab958d0fb6p-1 |];
+        sigma = 0x1.ab2c6d758bf82p+1; iterations = 100;
+        log_likelihood = -0x1.6409ca67de3a3p+13; converged = false },
+      0x1.41dbba844979fp-20 );
+    ( Workloads.filter, "filter_task", 4429,
+      { name = "filter/filter_task robust field"; np = 8;
+        theta = [| 0x1.d6ef3f8f64cc8p-1; 0x1.c6517dff76436p-4; 0x1.7c32626cba286p-1;
+                   0x1.9a2a488e5759ep-2 |];
+        sigma = 0x1.a2d5a0bed24c6p+1; iterations = 100;
+        log_likelihood = -0x1.b82e2582777c1p+13; converged = false },
+      0x1.1ba85b812e116p-11 );
+  ]
+
+let robust_golden_case w proc kept_count g eps () =
+  let run = P.profile ~config:field_config w in
+  let samples = List.assoc proc run.P.samples in
+  let paths = Tomo.Paths.enumerate (P.model_of run proc) in
+  Alcotest.(check int) "raw path count unchanged" g.np
+    (Array.length (Tomo.Paths.paths paths));
+  let sigma = P.noise_sigma field_config in
+  let kept, _ =
+    Tomo.Sanitize.run ~config:Tomo.Sanitize.default
+      ~min_cost:(Tomo.Paths.min_cost paths) ~max_cost:(Tomo.Paths.max_cost paths) ~sigma
+      samples
+  in
+  Alcotest.(check int) (g.name ^ " sanitized samples") kept_count (Array.length kept);
+  let r = Tomo.Em.estimate ~sigma ~outlier:Tomo.Em.default_outlier paths ~samples:kept in
+  check_theta g.name g.theta r.Tomo.Em.theta;
+  check_float (g.name ^ " sigma") g.sigma r.Tomo.Em.sigma;
+  Alcotest.(check int) (g.name ^ " iterations") g.iterations r.Tomo.Em.iterations;
+  check_float (g.name ^ " log_likelihood") g.log_likelihood r.Tomo.Em.log_likelihood;
+  Alcotest.(check bool) (g.name ^ " converged") g.converged r.Tomo.Em.converged;
+  match r.Tomo.Em.outlier_eps with
+  | Some e -> check_float (g.name ^ " eps") eps e
+  | None -> Alcotest.fail "robust estimate carries no eps"
+
+let robust_golden_tests =
+  List.map
+    (fun (w, proc, kept, g, eps) ->
+      Alcotest.test_case ("golden: " ^ g.name) `Slow (robust_golden_case w proc kept g eps))
+    robust_goldens
+
+(* --- Online goldens: the streaming estimator after a fixed stream --- *)
+
+(* The first 1000 clean res-4 / jitter-2 windows, fed one at a time with
+   σ = the timer's noise scale; captured from the per-path online E-step
+   the shared kernel replaced. *)
+let online_goldens =
+  [
+    ( Workloads.ctp, "ctp_rx_task", 0.999,
+      [| 0x1.7dc7e49bc4d0ep-1; 0x1.a21a57a533c2ep-3; 0x1.dfa7c40dd95cp-1;
+         0x1.994156c914446p-1; 0x1.606ecdce5418fp-3; 0x1.5b4dbb75e5846p-1 |],
+      0x1.3c26fc5233f09p+9 );
+    ( Workloads.filter, "filter_task", 0.999,
+      [| 0x1.9771c4e7d2e72p-2; 0x1.df70956c1947dp-2; 0x1.9a8aba326b9fp-1;
+         0x1.7052cec32bbfcp-2 |],
+      0x1.3c26fc5233f09p+9 );
+    ( Workloads.ctp, "ctp_rx_task", 1.0,
+      [| 0x1.7c58cd38158a5p-1; 0x1.a49c98541e987p-3; 0x1.da62974e3bca9p-1;
+         0x1.8de7ad70c9926p-1; 0x1.76e307e2dfac1p-3; 0x1.5a9d8cf478023p-1 |],
+      0x1.f4p+9 );
+    ( Workloads.filter, "filter_task", 1.0,
+      [| 0x1.8f98f3fae0697p-2; 0x1.e35e122e4e2eap-2; 0x1.9d37aa7a02b35p-1;
+         0x1.79937051b6a05p-2 |],
+      0x1.f4p+9 );
+  ]
+
+let online_golden_case w proc decay theta weight () =
+  let config = { P.default_config with P.timer_resolution = 4; timer_jitter = 2.0 } in
+  let run = P.profile ~config w in
+  let samples = List.assoc proc run.P.samples in
+  let samples = Array.sub samples 0 (Stdlib.min 1000 (Array.length samples)) in
+  let paths = Tomo.Paths.enumerate (P.model_of run proc) in
+  let o = Tomo.Online.create ~decay ~sigma:(P.noise_sigma config) paths in
+  Tomo.Online.observe_all o samples;
+  let name = Printf.sprintf "online %s decay %g" proc decay in
+  Alcotest.(check int) (name ^ " observations") 1000 (Tomo.Online.observations o);
+  check_theta name theta (Tomo.Online.theta o);
+  check_float (name ^ " weight") weight (Tomo.Online.effective_weight o)
+
+let online_golden_tests =
+  List.map
+    (fun (w, proc, decay, theta, weight) ->
+      Alcotest.test_case
+        (Printf.sprintf "golden: online %s decay %g" proc decay)
+        `Slow
+        (online_golden_case w proc decay theta weight))
+    online_goldens
+
 (* --- generated-program equivalence: optimized vs dense reference --- *)
 
 let generated_case seed depth stmts =
@@ -252,7 +356,7 @@ let test_log_threshold_default_exact () =
     rough.Tomo.Em.theta
 
 let suite =
-  golden_tests
+  golden_tests @ robust_golden_tests @ online_golden_tests
   @ [
       Alcotest.test_case "generated programs: optimized = dense reference" `Slow
         test_generated_equivalence;
