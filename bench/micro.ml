@@ -139,10 +139,44 @@ let test_placement =
               ~algorithm:Layout.Algorithms.pettis_hansen
               ~profiles:run.Codetomo.Pipeline.oracle_freqs)))
 
+(* The simulate -> profile -> layout fast paths: a whole evaluation run of
+   ctp's natural binary (scheduler + interpreter), a whole profiling run
+   of filter (instrumented binary + branch oracle), and the exhaustive
+   worst-layout search on filter_task (9 blocks, 8! candidates). *)
+let prepared_filter =
+  lazy
+    (let w = Workloads.filter in
+     let c = Workloads.compiled w in
+     let run = Codetomo.Pipeline.profile ~compiled:c w in
+     (w, c, List.assoc "filter_task" run.Codetomo.Pipeline.oracle_freqs))
+
+let natural_ctp = lazy (Workloads.compiled Workloads.ctp).Mote_lang.Compile.program
+
+let test_eval_run =
+  Test.make ~name:"eval run, natural (ctp)"
+    (Staged.stage (fun () ->
+         ignore
+           (Codetomo.Pipeline.run_binary Workloads.ctp (Lazy.force natural_ctp)
+              ~label:"natural")))
+
+let test_profile_run =
+  Test.make ~name:"profile run (filter)"
+    (Staged.stage (fun () ->
+         let w, c, _ = Lazy.force prepared_filter in
+         ignore (Codetomo.Pipeline.profile ~compiled:c w)))
+
+let test_pessimal =
+  Test.make ~name:"pessimal search (filter_task)"
+    (Staged.stage (fun () ->
+         let _, _, freq = Lazy.force prepared_filter in
+         ignore (Layout.Algorithms.pessimal freq)))
+
 let benchmark () =
   ignore (Lazy.force prepared_sense);
   ignore (Lazy.force prepared_ctp);
   ignore (Lazy.force prepared_ctp_field);
+  ignore (Lazy.force prepared_filter);
+  ignore (Lazy.force natural_ctp);
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) () in
   let grouped =
@@ -150,6 +184,7 @@ let benchmark () =
       [
         test_simulator; test_cfg; test_paths; test_em; test_paths_merge;
         test_em_sparse; test_em_robust; test_online; test_log_prior; test_placement;
+        test_eval_run; test_profile_run; test_pessimal;
       ]
   in
   let results = Benchmark.all cfg instances grouped in

@@ -123,7 +123,7 @@ let greedy freq =
   Placement.validate cfg placement;
   placement
 
-let exhaustive ~better ?(max_blocks = 9) freq =
+let exhaustive ~maximize ?(max_blocks = 9) freq =
   let cfg = Cfgir.Freq.cfg freq in
   let n = Cfg.num_blocks cfg in
   if n > max_blocks then
@@ -132,22 +132,24 @@ let exhaustive ~better ?(max_blocks = 9) freq =
          max_blocks n);
   if n <= 1 then Placement.natural cfg
   else begin
-    let rest = Array.init (n - 1) (fun i -> i + 1) in
-    let best = ref (Placement.natural cfg) in
-    let best_score = ref (Eval.taken_transfers freq !best) in
-    (* Heap's algorithm over the non-entry blocks. *)
+    let scorer = Eval.compile freq in
+    (* The entry stays in slot 0; Heap's algorithm permutes slots 1..n-1
+       in place, and a candidate is copied only when it wins. *)
+    let candidate = Placement.natural cfg in
+    let best = ref (Array.copy candidate) in
+    let best_score = ref (Eval.score scorer candidate) in
     let consider () =
-      let candidate = Array.append [| 0 |] rest in
-      let score = Eval.taken_transfers freq candidate in
-      if better score !best_score then begin
-        best := candidate;
+      let score = Eval.score scorer candidate in
+      let wins = if maximize then score > !best_score else score < !best_score in
+      if wins then begin
+        Array.blit candidate 0 !best 0 n;
         best_score := score
       end
     in
     let swap i j =
-      let t = rest.(i) in
-      rest.(i) <- rest.(j);
-      rest.(j) <- t
+      let t = candidate.(i + 1) in
+      candidate.(i + 1) <- candidate.(j + 1);
+      candidate.(j + 1) <- t
     in
     let rec permute k =
       if k = 1 then consider ()
@@ -161,8 +163,8 @@ let exhaustive ~better ?(max_blocks = 9) freq =
     !best
   end
 
-let optimal ?max_blocks freq = exhaustive ~better:(fun a b -> a < b) ?max_blocks freq
-let pessimal ?max_blocks freq = exhaustive ~better:(fun a b -> a > b) ?max_blocks freq
+let optimal ?max_blocks freq = exhaustive ~maximize:false ?max_blocks freq
+let pessimal ?max_blocks freq = exhaustive ~maximize:true ?max_blocks freq
 
 let anneal ?(seed = 1) ?(iterations = 4000) ?(restarts = 3) freq =
   let cfg = Cfgir.Freq.cfg freq in
@@ -171,7 +173,8 @@ let anneal ?(seed = 1) ?(iterations = 4000) ?(restarts = 3) freq =
   if n <= 2 then seed_placement
   else begin
     let rng = Stats.Rng.create seed in
-    let score p = Eval.taken_transfers freq p in
+    let scorer = Eval.compile freq in
+    let score p = Eval.score scorer p in
     let best = ref (Array.copy seed_placement) in
     let best_score = ref (score seed_placement) in
     for restart = 1 to restarts do

@@ -85,3 +85,80 @@ let evaluate ?(policy = Not_taken) freq placement =
   }
 
 let taken_transfers ?policy freq placement = (evaluate ?policy freq placement).taken_transfers
+
+(* The scorer reads every block's terminator and edge weights once, into
+   flat arrays; [score] then replays [evaluate]'s taken-transfer sum —
+   same blocks, same branch cases, same additions in the same order — so
+   its result has the same bits. *)
+type terminator = Stop (* ret/halt *) | Branch | Edge (* jump or fall *)
+
+type scorer = {
+  btfn : bool;
+  kind : terminator array;
+  dst : int array; (* branch: taken target; jump/fall: destination *)
+  alt : int array; (* branch: fall target *)
+  w : float array; (* branch: taken-edge weight; jump/fall: edge weight *)
+  w_alt : float array; (* branch: fall-edge weight *)
+  pos : int array; (* scratch: position of each block in the candidate *)
+}
+
+let compile ?(policy = Not_taken) freq =
+  let cfg = Cfgir.Freq.cfg freq in
+  let n = Cfg.num_blocks cfg in
+  let s =
+    {
+      btfn = (match policy with Btfn -> true | Not_taken -> false);
+      kind = Array.make n Stop;
+      dst = Array.make n 0;
+      alt = Array.make n 0;
+      w = Array.make n 0.0;
+      w_alt = Array.make n 0.0;
+      pos = Array.make n 0;
+    }
+  in
+  for id = 0 to n - 1 do
+    match (Cfg.block cfg id).Cfg.term with
+    | Cfg.T_branch (_, tdst, fdst) ->
+        s.kind.(id) <- Branch;
+        s.dst.(id) <- tdst;
+        s.alt.(id) <- fdst;
+        s.w.(id) <- Cfgir.Freq.get freq ~src:id ~dst:tdst ~kind:Cfg.K_taken;
+        s.w_alt.(id) <- Cfgir.Freq.get freq ~src:id ~dst:fdst ~kind:Cfg.K_fall
+    | Cfg.T_jump dst ->
+        s.kind.(id) <- Edge;
+        s.dst.(id) <- dst;
+        s.w.(id) <- Cfgir.Freq.get freq ~src:id ~dst ~kind:Cfg.K_jump
+    | Cfg.T_fall dst ->
+        s.kind.(id) <- Edge;
+        s.dst.(id) <- dst;
+        s.w.(id) <- Cfgir.Freq.get freq ~src:id ~dst ~kind:Cfg.K_fall
+    | Cfg.T_ret | Cfg.T_halt -> ()
+  done;
+  s
+
+let score s placement =
+  let n = Array.length s.pos in
+  if Array.length placement <> n then invalid_arg "Eval.score: wrong length";
+  let pos = s.pos in
+  for i = 0 to n - 1 do
+    pos.(placement.(i)) <- i
+  done;
+  let taken = ref 0.0 in
+  for id = 0 to n - 1 do
+    let src_pos = pos.(id) in
+    let next = if src_pos + 1 < n then placement.(src_pos + 1) else -1 in
+    match s.kind.(id) with
+    | Branch ->
+        let tdst = s.dst.(id) and fdst = s.alt.(id) in
+        let wt = s.w.(id) and wf = s.w_alt.(id) in
+        (* [branch_stall], written out so no float is boxed. *)
+        if next = fdst then
+          taken := !taken +. if s.btfn && pos.(tdst) <= src_pos then wf else wt
+        else if next = tdst then
+          taken := !taken +. if s.btfn && pos.(fdst) <= src_pos then wt else wf
+        else
+          taken := !taken +. (if s.btfn && pos.(tdst) <= src_pos then wf else wt) +. wf
+    | Edge -> if next <> s.dst.(id) then taken := !taken +. s.w.(id)
+    | Stop -> ()
+  done;
+  !taken

@@ -36,3 +36,20 @@ val evaluate : ?policy:policy -> Cfgir.Freq.t -> Placement.t -> report
 
 val taken_transfers : ?policy:policy -> Cfgir.Freq.t -> Placement.t -> float
 (** Shorthand for [(evaluate f p).taken_transfers]. *)
+
+(** {1 Compiled scoring}
+
+    For searches that score many candidate placements of one profile. *)
+
+type scorer
+(** A profile's terminators and edge weights, read once.  Holds scratch
+    space: use one scorer from one domain at a time. *)
+
+val compile : ?policy:policy -> Cfgir.Freq.t -> scorer
+
+val score : scorer -> Placement.t -> float
+(** [score (compile ?policy f) p] is [taken_transfers ?policy f p], bit for
+    bit (the same additions in the same order), for every valid placement
+    [p].  It does not validate [p]: a permutation whose first element is
+    not the entry block is scored as given.
+    @raise Invalid_argument if [p] has the wrong length. *)

@@ -24,8 +24,13 @@ exception Fault of string
 
 let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 
+(* [code] and [costs] are the program's instructions and their base
+   cycle costs, read once at creation: the per-instruction path indexes
+   them directly and calls nothing outside this module. *)
 type t = {
   program : Program.t;
+  code : int Isa.instr array;
+  costs : int array;
   devices : Devices.t;
   prediction : prediction;
   regs : int array;
@@ -52,8 +57,11 @@ let sentinel = -1
 
 let create ?(mem_words = 4096) ?(prediction = Predict_not_taken) ~program ~devices () =
   if mem_words <= 16 then invalid_arg "Machine.create: memory too small";
+  let code = Program.code program in
   {
     program;
+    code;
+    costs = Array.map Isa.base_cost code;
     devices;
     prediction;
     regs = Array.make Isa.num_regs 0;
@@ -92,42 +100,49 @@ let stats t =
     returns = t.returns;
   }
 
-let check_reg r = if r < 0 || r >= Isa.num_regs then fault "bad register r%d" r
+(* The hot helpers below are inlined into [step]; their fault paths stay
+   out of line. *)
+let[@inline never] bad_register r = fault "bad register r%d" r
+let[@inline never] load_fault addr = fault "load outside memory: %d" addr
+let[@inline never] store_fault addr = fault "store outside memory: %d" addr
+let[@inline never] stack_fault what = fault "%s" what
+
+let[@inline] check_reg r = if r < 0 || r >= Isa.num_regs then bad_register r
 
 let reg t r =
   check_reg r;
   t.regs.(r)
 
 (* 16-bit two's-complement wrap. *)
-let wrap v = ((v + 32768) land 0xFFFF) - 32768
+let[@inline] wrap v = ((v + 32768) land 0xFFFF) - 32768
 
-let set_reg t r v =
+let[@inline] set_reg t r v =
   check_reg r;
   t.regs.(r) <- wrap v
 
-let read_mem t addr =
-  if addr < 0 || addr >= Array.length t.mem then fault "load outside memory: %d" addr;
+let[@inline] read_mem t addr =
+  if addr < 0 || addr >= Array.length t.mem then load_fault addr;
   t.mem.(addr)
 
-let write_mem t addr v =
-  if addr < 0 || addr >= Array.length t.mem then fault "store outside memory: %d" addr;
+let[@inline] write_mem t addr v =
+  if addr < 0 || addr >= Array.length t.mem then store_fault addr;
   t.mem.(addr) <- wrap v
 
 let set_branch_hook t hook = t.branch_hook <- hook
 let set_trace_hook t hook = t.trace_hook <- hook
 
-let push t v =
+let[@inline] push t v =
   t.sp <- t.sp - 1;
-  if t.sp < 0 then fault "stack overflow";
+  if t.sp < 0 then stack_fault "stack overflow";
   t.mem.(t.sp) <- v
 
-let pop t =
-  if t.sp >= Array.length t.mem then fault "stack underflow";
+let[@inline] pop t =
+  if t.sp >= Array.length t.mem then stack_fault "stack underflow";
   let v = t.mem.(t.sp) in
   t.sp <- t.sp + 1;
   v
 
-let eval_cond t = function
+let[@inline] eval_cond t = function
   | Isa.Eq -> t.flag_z
   | Isa.Ne -> not t.flag_z
   | Isa.Lt -> t.flag_n
@@ -135,7 +150,7 @@ let eval_cond t = function
   | Isa.Le -> t.flag_n || t.flag_z
   | Isa.Gt -> not (t.flag_n || t.flag_z)
 
-let alu op a b =
+let[@inline] alu op a b =
   match op with
   | Isa.Add -> a + b
   | Isa.Sub -> a - b
@@ -146,7 +161,7 @@ let alu op a b =
   | Isa.Shl -> a lsl (b land 15)
   | Isa.Shr -> (a land 0xFFFF) lsr (b land 15)
 
-let set_flags t v =
+let[@inline] set_flags t v =
   t.flag_z <- v = 0;
   t.flag_n <- v < 0
 
@@ -172,16 +187,15 @@ let port_out t port v =
 (* Execute the instruction at pc.  Returns [true] while the current
    invocation is still running; [false] once it returned to the sentinel or
    halted. *)
-let step t =
-  let n = Program.length t.program in
-  if t.pc < 0 || t.pc >= n then fault "pc outside program: %d" t.pc;
+let[@inline] step t =
   let at = t.pc in
-  let ins = Program.instr t.program at in
+  if at < 0 || at >= Array.length t.code then fault "pc outside program: %d" at;
+  let ins = Array.unsafe_get t.code at in
   (match t.trace_hook with
   | Some hook -> hook ~pc:at ~instr:ins ~cycles:t.cycles
   | None -> ());
   t.instructions <- t.instructions + 1;
-  t.cycles <- t.cycles + Isa.base_cost ins;
+  t.cycles <- t.cycles + Array.unsafe_get t.costs at;
   let continue = ref true in
   (match ins with
   | Isa.Nop -> t.pc <- at + 1
@@ -267,18 +281,18 @@ let run_until_done ?(fuel = 10_000_000) t =
     running := step t
   done
 
-let run_proc ?fuel t name =
-  let info =
-    match Program.find_proc t.program name with
-    | Some p -> p
-    | None -> raise Not_found
-  in
+let run_entry ?fuel t entry =
   let before = t.cycles in
   t.halted <- false;
   push t sentinel;
-  t.pc <- info.Program.entry;
+  t.pc <- entry;
   run_until_done ?fuel t;
   t.cycles - before
+
+let run_proc ?fuel t name =
+  match Program.find_proc t.program name with
+  | Some info -> run_entry ?fuel t info.Program.entry
+  | None -> raise Not_found
 
 let run_from_symbol ?fuel t name =
   match Program.find_symbol t.program name with

@@ -89,6 +89,11 @@ val run_proc : ?fuel:int -> t -> string -> int
     exceeded.
     @raise Not_found if the procedure does not exist. *)
 
+val run_entry : ?fuel:int -> t -> int -> int
+(** [run_entry t entry] is {!run_proc} for the procedure whose entry
+    address is [entry], already looked up (the scheduler resolves each
+    task's entry once). *)
+
 val run_from_symbol : ?fuel:int -> t -> string -> unit
 (** Jump to a symbol and run until [Halt] — for whole-program tests. *)
 

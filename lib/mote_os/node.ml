@@ -19,20 +19,32 @@ type run_stats = {
 
 let invocations stats proc = Option.value ~default:0 (List.assoc_opt proc stats.tasks_run)
 
-type timer_state = { mutable next_fire : int; period : int; timer_task : string }
+type timer_state = { mutable next_fire : int; period : int; timer_task : int }
 
+(* Tasks are identified by the index of their procedure in [task_names]
+   (the distinct task procedures, sorted), so the queue, the counters and
+   the dispatch never hash or compare a name. *)
 type t = {
   machine : Machine.t;
   env : Env.t;
-  queue : string Queue.t;
+  task_names : string array;
+  task_entries : int array;  (* entry address of each task procedure *)
+  run_counts : int array;
+  (* FIFO of task indices: [queued] slots of [ring] from [head], wrapping.
+     The ring grows on demand, so a large capacity costs nothing up front. *)
+  mutable ring : int array;
+  mutable head : int;
+  mutable queued : int;
   queue_capacity : int;
-  timers : timer_state list;
-  radio_tasks : string list;
+  timers : timer_state array;
+  radio_tasks : int array;
   (* Radio arrivals are generated lazily in chunks up to this cycle. *)
   mutable radio_horizon : int;
+  (* Sorted by arrival cycle: each chunk is generated in increasing time
+     and starts where the previous one ended, so the due arrivals are
+     always a prefix. *)
   mutable radio_pending : (int * int) list;
   (* Accumulated statistics. *)
-  run_counts : (string, int) Hashtbl.t;
   mutable dropped : int;
   mutable packets : int;
   mutable idle_cycles : int;
@@ -42,46 +54,70 @@ type t = {
 
 let radio_chunk = 1 lsl 17
 
+let push t task =
+  let size = Array.length t.ring in
+  if t.queued = size then begin
+    let ring = Array.make (2 * size) 0 in
+    for i = 0 to size - 1 do
+      ring.(i) <- t.ring.((t.head + i) mod size)
+    done;
+    t.ring <- ring;
+    t.head <- 0
+  end;
+  t.ring.((t.head + t.queued) mod Array.length t.ring) <- task;
+  t.queued <- t.queued + 1
+
 let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
   if queue_capacity <= 0 then invalid_arg "Node.create: queue capacity must be positive";
   let program = Machine.program machine in
-  List.iter
-    (fun { proc; _ } ->
-      if Mote_isa.Program.find_proc program proc = None then
-        invalid_arg (Printf.sprintf "Node.create: no procedure %S in binary" proc))
-    tasks;
+  let entry proc =
+    match Mote_isa.Program.find_proc program proc with
+    | Some info -> info.Mote_isa.Program.entry
+    | None -> invalid_arg (Printf.sprintf "Node.create: no procedure %S in binary" proc)
+  in
+  List.iter (fun { proc; _ } -> ignore (entry proc)) tasks;
+  let task_names =
+    Array.of_list (List.sort_uniq String.compare (List.map (fun { proc; _ } -> proc) tasks))
+  in
+  let index proc =
+    let rec find i = if String.equal task_names.(i) proc then i else find (i + 1) in
+    find 0
+  in
   Env.attach env (Machine.devices machine);
   (* Boot-time global initialization, if the compiler emitted one. *)
   (match Mote_isa.Program.find_proc program Mote_lang.Compile.init_proc_name with
   | Some _ -> ignore (Machine.run_proc machine Mote_lang.Compile.init_proc_name)
   | None -> ());
-  let queue = Queue.create () in
   let timers =
     List.filter_map
       (fun { proc; source } ->
         match source with
         | Periodic { period; offset } ->
             if period <= 0 then invalid_arg "Node.create: period must be positive";
-            Some { next_fire = offset; period; timer_task = proc }
+            Some { next_fire = offset; period; timer_task = index proc }
         | Boot | On_radio_rx -> None)
       tasks
   in
   let radio_tasks =
     List.filter_map
-      (fun { proc; source } -> match source with On_radio_rx -> Some proc | _ -> None)
+      (fun { proc; source } -> match source with On_radio_rx -> Some (index proc) | _ -> None)
       tasks
   in
   let t =
     {
       machine;
       env;
-      queue;
+      task_names;
+      task_entries = Array.map entry task_names;
+      run_counts = Array.make (Array.length task_names) 0;
+      ring = Array.make (Stdlib.min queue_capacity 16) 0;
+      head = 0;
+      queued = 0;
       queue_capacity;
-      timers;
-      radio_tasks;
+      timers = Array.of_list timers;
+      radio_tasks = Array.of_list radio_tasks;
       radio_horizon = 0;
       radio_pending = [];
-      run_counts = Hashtbl.create 8;
       dropped = 0;
       packets = 0;
       idle_cycles = 0;
@@ -89,8 +125,9 @@ let create ~machine ~env ~tasks ?(queue_capacity = 16) () =
       tx_drained = 0;
     }
   in
+  (* Boot posts bypass the capacity check. *)
   List.iter
-    (fun { proc; source } -> match source with Boot -> Queue.push proc queue | _ -> ())
+    (fun { proc; source } -> match source with Boot -> push t (index proc) | _ -> ())
     tasks;
   t
 
@@ -98,9 +135,14 @@ let machine t = t.machine
 
 let cycles t = Machine.cycles t.machine
 
-let post t proc =
-  if Queue.length t.queue >= t.queue_capacity then t.dropped <- t.dropped + 1
-  else Queue.push proc t.queue
+let post t task =
+  if t.queued >= t.queue_capacity then t.dropped <- t.dropped + 1 else push t task
+
+let take t =
+  let task = t.ring.(t.head) in
+  t.head <- (t.head + 1) mod Array.length t.ring;
+  t.queued <- t.queued - 1;
+  task
 
 (* Extend the pre-generated radio arrival schedule to cover [upto]. *)
 let extend_radio t upto =
@@ -112,72 +154,77 @@ let extend_radio t upto =
     t.radio_horizon <- to_cycle
   done
 
-(* Deliver every event with a timestamp <= now. *)
-let deliver_due t now =
-  List.iter
-    (fun timer ->
-      while timer.next_fire <= now do
-        post t timer.timer_task;
-        timer.next_fire <- timer.next_fire + timer.period
-      done)
-    t.timers;
-  extend_radio t now;
-  let due, future = List.partition (fun (at, _) -> at <= now) t.radio_pending in
-  t.radio_pending <- future;
-  List.iter
-    (fun (_, payload) ->
-      Devices.radio_push_rx (Machine.devices t.machine) payload;
-      t.packets <- t.packets + 1;
-      List.iter (fun proc -> post t proc) t.radio_tasks)
-    due
-
 let inject_packet t payload =
   Devices.radio_push_rx (Machine.devices t.machine) payload;
   t.packets <- t.packets + 1;
-  List.iter (fun proc -> post t proc) t.radio_tasks
+  for i = 0 to Array.length t.radio_tasks - 1 do
+    post t t.radio_tasks.(i)
+  done
+
+(* Deliver every event with a timestamp <= now: all due timer ticks
+   first, then the due radio arrivals in arrival order. *)
+let deliver_due t now =
+  for i = 0 to Array.length t.timers - 1 do
+    let timer = t.timers.(i) in
+    while timer.next_fire <= now do
+      post t timer.timer_task;
+      timer.next_fire <- timer.next_fire + timer.period
+    done
+  done;
+  extend_radio t now;
+  let rec pop = function
+    | (at, payload) :: future when at <= now ->
+        inject_packet t payload;
+        pop future
+    | future -> t.radio_pending <- future
+  in
+  pop t.radio_pending
 
 let drain_tx t =
-  let log = Devices.tx_log (Machine.devices t.machine) in
-  let fresh = List.filteri (fun i _ -> i >= t.tx_drained) log in
-  t.tx_drained <- List.length log;
+  let devices = Machine.devices t.machine in
+  let fresh = Devices.tx_since devices t.tx_drained in
+  t.tx_drained <- Devices.tx_count devices;
   fresh
 
 let next_event_time t =
-  let timer_next =
-    List.fold_left (fun acc timer -> Stdlib.min acc timer.next_fire) max_int t.timers
-  in
-  match t.radio_pending with
-  | (at, _) :: _ -> Stdlib.min timer_next at
-  | [] -> timer_next
+  let next = ref max_int in
+  for i = 0 to Array.length t.timers - 1 do
+    next := Stdlib.min !next t.timers.(i).next_fire
+  done;
+  match t.radio_pending with (at, _) :: _ -> Stdlib.min !next at | [] -> !next
 
 let run ?(fuel_per_task = 2_000_000) t ~until =
   let continue = ref true in
   while !continue && Machine.cycles t.machine < until do
     let now = Machine.cycles t.machine in
     deliver_due t now;
-    match Queue.take_opt t.queue with
-    | Some proc ->
-        ignore (Machine.run_proc ~fuel:fuel_per_task t.machine proc);
-        let count = Option.value ~default:0 (Hashtbl.find_opt t.run_counts proc) in
-        Hashtbl.replace t.run_counts proc (count + 1)
-    | None ->
-        extend_radio t (Stdlib.min until (now + radio_chunk));
-        let next = next_event_time t in
-        if next = max_int || next >= until then begin
-          (* Nothing left to do before the deadline: sleep through it. *)
-          t.idle_cycles <- t.idle_cycles + (until - now);
-          Machine.idle t.machine (until - now);
-          continue := false
-        end
-        else begin
-          t.idle_cycles <- t.idle_cycles + (next - now);
-          Machine.idle t.machine (next - now)
-        end
+    if t.queued > 0 then begin
+      let task = take t in
+      ignore (Machine.run_entry ~fuel:fuel_per_task t.machine t.task_entries.(task));
+      t.run_counts.(task) <- t.run_counts.(task) + 1
+    end
+    else begin
+      extend_radio t (Stdlib.min until (now + radio_chunk));
+      let next = next_event_time t in
+      if next = max_int || next >= until then begin
+        (* Nothing left to do before the deadline: sleep through it. *)
+        t.idle_cycles <- t.idle_cycles + (until - now);
+        Machine.idle t.machine (until - now);
+        continue := false
+      end
+      else begin
+        t.idle_cycles <- t.idle_cycles + (next - now);
+        Machine.idle t.machine (next - now)
+      end
+    end
   done;
   let total_cycles = Machine.cycles t.machine - t.created_at_cycles in
+  let ran = ref [] in
+  Array.iteri
+    (fun task n -> if n > 0 then ran := (t.task_names.(task), n) :: !ran)
+    t.run_counts;
   {
-    tasks_run =
-      Hashtbl.fold (fun proc n acc -> (proc, n) :: acc) t.run_counts [] |> List.sort compare;
+    tasks_run = List.sort compare !ran;
     tasks_dropped = t.dropped;
     packets_delivered = t.packets;
     total_cycles;

@@ -48,7 +48,17 @@ val run : ?fuel_per_task:int -> t -> until:int -> run_stats
 (** Execute until the cycle clock reaches [until] (tasks run to
     completion, so the clock may overshoot by the last task's length).
     Can be called repeatedly to extend a run; statistics accumulate from
-    node creation. *)
+    node creation.
+
+    {b Delivery order.}  Before each task starts, every event due by the
+    current cycle is posted: first every due timer tick (timers in task
+    order, each as many times as it fell due), then every due radio
+    arrival in arrival order.  This is not global time order: when a long
+    task delays the scheduler past both a radio arrival and a later timer
+    tick, the timer's task is queued first.  A placement that changes task
+    lengths can therefore swap two tasks on a workload that mixes both
+    sources (ctp).  The order is kept on purpose: time-ordered delivery
+    would change every recorded run of such a workload. *)
 
 val cycles : t -> int
 (** The node's current cycle clock. *)
@@ -59,4 +69,5 @@ val inject_packet : t -> int -> unit
     posts every [On_radio_rx] task. *)
 
 val drain_tx : t -> int list
-(** Words the node transmitted since the last drain (oldest first). *)
+(** Words the node transmitted since the last drain (oldest first), in
+    time proportional to their number. *)

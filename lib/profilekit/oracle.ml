@@ -2,57 +2,68 @@ module Machine = Mote_machine.Machine
 module Program = Mote_isa.Program
 module Cfg = Cfgir.Cfg
 
-type site = { proc : string; block : int }
-
+(* Branch sites are numbered in procedure order, and within a procedure
+   in {!Cfg.branch_blocks} order, so a procedure's sites are the range
+   [first, first + length branch_blocks).  The branch hook reads the site
+   of a pc from [site_of_pc] (-1 for a pc that ends no branch block) and
+   bumps a counter: no hashing or allocation per branch. *)
 type t = {
   machine : Machine.t;
-  cfgs : (string * Cfg.t) list;
-  sites : (int, site) Hashtbl.t; (* branch pc -> site *)
-  taken : (string * int, int) Hashtbl.t;
-  fall : (string * int, int) Hashtbl.t;
+  procs : (string * (Cfg.t * int)) list; (* name -> (cfg, first site) *)
+  site_of_pc : int array;
+  taken : int array;
+  fall : int array;
   mutable total : int;
 }
 
 let attach machine =
   let program = Machine.program machine in
-  let cfgs = List.map (fun cfg -> (cfg.Cfg.proc.Program.name, cfg)) (Cfg.of_program program) in
-  let sites = Hashtbl.create 64 in
-  List.iter
-    (fun (name, cfg) ->
-      List.iter
-        (fun id ->
-          let block = Cfg.block cfg id in
-          Hashtbl.replace sites block.Cfg.last { proc = name; block = id })
-        (Cfg.branch_blocks cfg))
-    cfgs;
+  let site_of_pc = Array.make (Program.length program) (-1) in
+  let next_site = ref 0 in
+  let procs =
+    List.map
+      (fun cfg ->
+        let first = !next_site in
+        List.iter
+          (fun id ->
+            site_of_pc.((Cfg.block cfg id).Cfg.last) <- !next_site;
+            incr next_site)
+          (Cfg.branch_blocks cfg);
+        (cfg.Cfg.proc.Program.name, (cfg, first)))
+      (Cfg.of_program program)
+  in
   let t =
-    { machine; cfgs; sites; taken = Hashtbl.create 64; fall = Hashtbl.create 64; total = 0 }
+    {
+      machine;
+      procs;
+      site_of_pc;
+      taken = Array.make !next_site 0;
+      fall = Array.make !next_site 0;
+      total = 0;
+    }
   in
   Machine.set_branch_hook machine
     (Some
        (fun ~pc ~taken ->
-         match Hashtbl.find_opt t.sites pc with
-         | None -> ()
-         | Some { proc; block } ->
-             t.total <- t.total + 1;
-             let tbl = if taken then t.taken else t.fall in
-             let key = (proc, block) in
-             Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))));
+         let site = t.site_of_pc.(pc) in
+         if site >= 0 then begin
+           t.total <- t.total + 1;
+           if taken then t.taken.(site) <- t.taken.(site) + 1
+           else t.fall.(site) <- t.fall.(site) + 1
+         end));
   t
 
 let detach t = Machine.set_branch_hook t.machine None
 
-let cfg_of t proc =
-  match List.assoc_opt proc t.cfgs with
-  | Some cfg -> cfg
+let proc_of t proc =
+  match List.assoc_opt proc t.procs with
+  | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Oracle: unknown procedure %S" proc)
 
 let counts t ~proc =
-  let cfg = cfg_of t proc in
-  List.map
-    (fun id ->
-      let get tbl = Option.value ~default:0 (Hashtbl.find_opt tbl (proc, id)) in
-      (id, (get t.taken, get t.fall)))
+  let cfg, first = proc_of t proc in
+  List.mapi
+    (fun k id -> (id, (t.taken.(first + k), t.fall.(first + k))))
     (Cfg.branch_blocks cfg)
 
 let thetas t ~proc =
@@ -66,7 +77,7 @@ let theta_vector t ~proc = Array.of_list (List.map snd (thetas t ~proc))
 let total_branches t = t.total
 
 let freq t ~proc ~invocations =
-  let cfg = cfg_of t proc in
+  let cfg, _ = proc_of t proc in
   let counts =
     counts t ~proc
     |> List.map (fun (id, (tk, fl)) -> (id, (float_of_int tk, float_of_int fl)))

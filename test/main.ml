@@ -30,4 +30,6 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("wire", Test_wire.suite);
       ("fleet", Test_fleet.suite);
+      ("sim_golden", Test_sim_golden.suite);
+      ("scorer", Test_scorer.suite);
     ]

@@ -113,6 +113,60 @@ let test_globals_initialized_by_node () =
   Alcotest.(check int) "initialized" 1234
     (Machine.read_mem machine (Compile.var_address c ~proc:"t" "g"))
 
+(* Each drain returns exactly the words sent since the previous one, in
+   send order: a counter sent once per tick comes back as consecutive runs
+   that concatenate to the whole transmit log. *)
+let test_drain_tx_fresh_suffix () =
+  let program =
+    {
+      Mote_lang.Ast.globals = [ ("seq", 0) ];
+      arrays = [];
+      procs =
+        [ proc "send_task" ~params:[] ~locals:[] [ send (v "seq"); set "seq" (v "seq" +: i 1) ] ];
+    }
+  in
+  let c = Compile.compile program in
+  let devices = Devices.create () in
+  let machine = Machine.create ~program:c.Compile.program ~devices () in
+  let env = Env.create { Env.seed = 1; channels = []; radio = Env.Silent } in
+  let tasks = [ { Node.proc = "send_task"; source = Node.Periodic { period = 1000; offset = 0 } } ] in
+  let node = Node.create ~machine ~env ~tasks () in
+  ignore (Node.run node ~until:10_000);
+  let first = Node.drain_tx node in
+  ignore (Node.run node ~until:25_000);
+  let second = Node.drain_tx node in
+  let third = Node.drain_tx node in
+  let upto n = List.init n Fun.id in
+  Alcotest.(check bool) "both drains non-empty" true (first <> [] && second <> []);
+  Alcotest.(check (list int)) "first drain" (upto (List.length first)) first;
+  Alcotest.(check (list int)) "second drain continues it"
+    (List.map (( + ) (List.length first)) (upto (List.length second)))
+    second;
+  Alcotest.(check (list int)) "nothing new" [] third;
+  Alcotest.(check (list int)) "drains cover the log" (Devices.tx_log devices) (first @ second)
+
+(* Boot posts bypass the queue bound: more boot tasks than slots all run,
+   and so do 40 boot posts under an effectively unbounded capacity. *)
+let test_boot_beyond_capacity () =
+  let boot n =
+    List.init n (fun i ->
+        { Node.proc = (if i mod 2 = 0 then "tick_task" else "boot_task"); source = Node.Boot })
+  in
+  List.iter
+    (fun (n, queue_capacity) ->
+      let c = Compile.compile simple_program in
+      let devices = Devices.create () in
+      let machine = Machine.create ~program:c.Compile.program ~devices () in
+      let env = Env.create { Env.seed = 1; channels = []; radio = Env.Silent } in
+      let node = Node.create ~machine ~env ~tasks:(boot n) ~queue_capacity () in
+      let stats = Node.run node ~until:10_000 in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "%d boot tasks ran" n)
+        [ ("boot_task", n / 2); ("tick_task", n - (n / 2)) ]
+        stats.Node.tasks_run;
+      Alcotest.(check int) "none dropped" 0 stats.Node.tasks_dropped)
+    [ (5, 2); (40, max_int) ]
+
 let suite =
   [
     Alcotest.test_case "unknown task" `Quick test_unknown_task_rejected;
@@ -123,4 +177,6 @@ let suite =
     Alcotest.test_case "idle accounting" `Quick test_idle_accounting;
     Alcotest.test_case "run extends" `Quick test_run_extends;
     Alcotest.test_case "node runs init" `Quick test_globals_initialized_by_node;
+    Alcotest.test_case "drain_tx fresh suffix" `Quick test_drain_tx_fresh_suffix;
+    Alcotest.test_case "boot beyond capacity" `Quick test_boot_beyond_capacity;
   ]
